@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-perf bench-anyk bench-leaderboard bench-shard bench-sanitize bench-vector bench-smoke fuzz lint sanitize serve-smoke shard-smoke ci clean
+.PHONY: all build test bench bench-perf bench-anyk bench-leaderboard bench-shard bench-sanitize bench-vector bench-plan bench-smoke fuzz lint sanitize serve-smoke shard-smoke ci clean
 
 all: build
 
@@ -65,11 +65,18 @@ bench-sanitize: build
 bench-vector: build
 	dune exec bench/main.exe -- vector
 
+# Cache-miss planning cost: median Optimizer.optimize time, us per
+# generated plan and the exact plans-generated count for 2/3/4-way key
+# chains over 5000-row tables. Appends one JSON row (with cores and git
+# revision) to BENCH_RANKOPT.json.
+bench-plan: build
+	dune exec bench/main.exe -- plan
+
 # Reduced-size subset (<30s): prints the rows but does NOT append, so
 # `make ci` stays clean-tree.
 bench-smoke: build
 	dune exec bench/main.exe -- perf-smoke anyk-smoke leaderboard-smoke \
-	  shard-smoke sanitize-smoke vector-smoke
+	  shard-smoke sanitize-smoke vector-smoke plan-smoke
 
 # Static plan analysis (planlint): run the rule catalog (PL01..PL15) over
 # the example query corpus and over a fixed slice of the fuzz corpus,

@@ -50,6 +50,15 @@ let emit ~append rows =
 
 let cores () = Domain.recommended_domain_count ()
 
+(* The checkout's revision ("-dirty" with uncommitted changes). *)
+let rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | ic ->
+      let r = try input_line ic with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if r = "" then "unknown" else r
+  | exception Unix.Unix_error _ -> "unknown"
+
 let with_pool domains f =
   let pool = Rkutil.Task_pool.create ~domains in
   Fun.protect

@@ -13,13 +13,12 @@ type env = {
   exchange_startup : float;
   remote_startup : float;
   remote_row : float;
-  vector_cpu : float;
 }
 
 let default_env ?(k_min = 1) ?(cpu_factor = 0.002) ?(memory_tuples = 10_000)
     ?(sort_fan_in = 8) ?(nl_block_tuples = 1000) ?(depth_mode = `Worst)
     ?(dop = 1) ?(exchange_startup = 2.0) ?(remote_startup = 5.0)
-    ?(remote_row = 0.01) ?(vector_cpu = 1.0) catalog query =
+    ?(remote_row = 0.01) catalog query =
   {
     catalog;
     query;
@@ -33,7 +32,6 @@ let default_env ?(k_min = 1) ?(cpu_factor = 0.002) ?(memory_tuples = 10_000)
     exchange_startup = Float.max 0.0 exchange_startup;
     remote_startup = Float.max 0.0 remote_startup;
     remote_row = Float.max 0.0 remote_row;
-    vector_cpu = Float.max 0.0 vector_cpu;
   }
 
 type estimate = {
@@ -94,88 +92,161 @@ let join_selectivity env (j : Logical.join_pred) =
     ~left:(j.Logical.left_table, j.Logical.left_column)
     ~right:(j.Logical.right_table, j.Logical.right_column)
 
-(* Number of ranked base relations under a plan (the model's l and r). *)
-let ranked_fan env plan =
-  let names = Plan.relations plan in
-  List.length
-    (List.filter
-       (fun n ->
-         match Logical.find_relation env.query n with
-         | b -> b.Logical.weight > 0.0 && Option.is_some b.Logical.score
-         | exception Not_found -> false)
-       names)
+(* Planning constants: the terms of a cost formula that depend only on the
+   query, the catalog and a join predicate, relation or score expression —
+   never on k or on a subplan's shape. A [planning] lives for one
+   enumeration run (or one from-scratch estimate) and memoizes each term on
+   first use. It is consulted only while an estimate is being built: the
+   [cost_at] closures capture plain values, so a finished estimate can be
+   probed from any domain. *)
+type planning = {
+  env : env;
+  selectivities : (Logical.join_pred * float) list ref;
+  ranked : (string * bool) list ref;
+  log_cards : (string * float) list ref;
+  slab_ranges : (Expr.t * float option) list ref;  (** keyed by [==] *)
+}
 
-let depth_params env ~k ~cond ~left ~right ~left_rows ~right_rows =
-  let s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond) in
-  let fan p = max 1 (ranked_fan env p) in
+let planning env =
+  { env; selectivities = ref []; ranked = ref []; log_cards = ref []; slab_ranges = ref [] }
+
+let planning_env p = p.env
+
+let memo_assoc find cache key compute =
+  match find key !cache with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      cache := (key, v) :: !cache;
+      v
+
+(* Clamped join selectivity of a predicate. *)
+let selectivity p cond =
+  memo_assoc List.assoc_opt p.selectivities cond (fun () ->
+      Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity p.env cond))
+
+let is_ranked p name =
+  memo_assoc List.assoc_opt p.ranked name (fun () ->
+      match Logical.find_relation p.env.query name with
+      | b -> b.Logical.weight > 0.0 && Option.is_some b.Logical.score
+      | exception Not_found -> false)
+
+let log_card p name =
+  memo_assoc List.assoc_opt p.log_cards name (fun () ->
+      log (Float.max 1.0 (base_cardinality p.env name)))
+
+(* Number of ranked base relations under a plan (the model's l and r). *)
+let ranked_fan p plan = List.length (List.filter (is_ranked p) (Plan.relations plan))
+
+(* The depth-model parameters of a rank join, except k (set per probe by
+   [at_k]): selectivity, fans, input cardinalities and the geometric mean
+   of the base cardinalities. *)
+let depth_base p ~cond ~left ~right ~left_rows ~right_rows =
+  let s = selectivity p cond in
+  let fan plan = max 1 (ranked_fan p plan) in
   let n =
-    let names = Plan.relations left @ Plan.relations right in
-    let logs = List.map (fun m -> log (Float.max 1.0 (base_cardinality env m))) names in
+    let logs = List.map (log_card p) (Plan.relations left @ Plan.relations right) in
     exp (List.fold_left ( +. ) 0.0 logs /. float_of_int (max 1 (List.length logs)))
   in
   {
-    Depth_model.k = Float.max 1.0 k;
+    Depth_model.k = 1.0;
     s;
     n = Float.max 1.0 n;
     left = { Depth_model.fan = fan left; card = Float.max 1.0 left_rows };
     right = { Depth_model.fan = fan right; card = Float.max 1.0 right_rows };
   }
 
+let at_k base k = { base with Depth_model.k = Float.max 1.0 k }
+
+(* Score range (sum of |weight| * column range) of a linear score
+   expression over columns with stats; [None] otherwise. *)
+let slab_range p e =
+  memo_assoc List.assq_opt p.slab_ranges e (fun () ->
+      match Expr.as_linear e with
+      | None -> None
+      | Some lin ->
+          List.fold_left
+            (fun acc ((w, r) : float * Expr.column_ref) ->
+              match acc, r.Expr.relation with
+              | None, _ | _, None -> None
+              | Some total, Some table -> (
+                  match
+                    Storage.Catalog.column_stats p.env.catalog ~table
+                      ~column:r.Expr.name
+                  with
+                  | Some cs ->
+                      Some
+                        (total
+                        +. Float.abs w
+                           *. (cs.Storage.Catalog.cs_max -. cs.Storage.Catalog.cs_min))
+                  | None -> None))
+            (Some 0.0) lin.Expr.terms)
+
 (* Mean score-decrement slab of a side's (weighted, linear) score
    expression, from column statistics: the "x"/"y" of the any-k formulas.
    [None] when the expression is not linear over columns with stats. *)
-let side_slab env score_expr ~rows =
+let side_slab p score_expr ~rows =
   if rows < 2.0 then None
   else
     match score_expr with
     | None -> None
     | Some e -> (
-        match Expr.as_linear e with
-        | None -> None
-        | Some lin ->
-            let range =
-              List.fold_left
-                (fun acc ((w, r) : float * Expr.column_ref) ->
-                  match acc, r.Expr.relation with
-                  | None, _ | _, None -> None
-                  | Some total, Some table -> (
-                      match
-                        Storage.Catalog.column_stats env.catalog ~table
-                          ~column:r.Expr.name
-                      with
-                      | Some cs ->
-                          Some
-                            (total
-                            +. Float.abs w
-                               *. (cs.Storage.Catalog.cs_max -. cs.Storage.Catalog.cs_min))
-                      | None -> None))
-                (Some 0.0) lin.Expr.terms
-            in
-            match range with
-            | Some r when r > 0.0 -> Some (r /. (rows -. 1.0))
-            | _ -> None)
+        match slab_range p e with
+        | Some r when r > 0.0 -> Some (r /. (rows -. 1.0))
+        | _ -> None)
 
 let frac rows x = if rows <= 0.0 then 1.0 else Rkutil.Mathx.clamp ~lo:0.0 ~hi:1.0 (x /. rows)
 
-(* [est bulk env plan]: [bulk] mirrors the executor's compilation context
-   (see [Vectorize.any]) — when true and the plan is a vector spine, its
-   per-tuple CPU term is discounted by [vector_cpu]. The default multiplier
-   of 1.0 keeps the model's choices identical to the tuple-at-a-time
-   model; a measured discount can be supplied per deployment. *)
-let rec est bulk env plan =
-  match plan with
-  | Plan.Table_scan { table } ->
+(* The depths function of a rank join: k -> clamped depths. HRJN uses the
+   histogram-derived slabs when both inputs are single ranked base
+   relations (refining the uniform assumption, e.g. for asymmetric score
+   weights); otherwise, and always for NRJN, the closed form of
+   [depth_mode]. *)
+let rank_depths p ~slab_scores ~cond ~left ~right ~left_rows ~right_rows =
+  let base = depth_base p ~cond ~left ~right ~left_rows ~right_rows in
+  let closed_form =
+    match p.env.depth_mode with
+    | `Average -> Depth_model.average_case_depths
+    | `Worst -> Depth_model.worst_case_depths
+  in
+  let slabs =
+    match slab_scores with
+    | Some (left_score, right_score)
+      when ranked_fan p left = 1 && ranked_fan p right = 1 -> (
+        match
+          ( side_slab p left_score ~rows:left_rows,
+            side_slab p right_score ~rows:right_rows )
+        with
+        | Some x, Some y -> Some (x, y)
+        | _ -> None)
+    | _ -> None
+  in
+  fun k ->
+    let pk = at_k base k in
+    let d =
+      match slabs with
+      | Some (x, y) ->
+          Depth_model.top_k_depths_slabs ~k:pk.Depth_model.k ~s:pk.Depth_model.s ~x ~y
+      | None -> closed_form pk
+    in
+    Depth_model.clamped pk d
+
+let rec estimate_with p plan =
+  estimate_node p plan (List.map (estimate_with p) (Plan.children plan))
+
+and estimate_node p plan inputs =
+  let env = p.env in
+  match plan, inputs with
+  | Plan.Table_scan { table }, [] ->
       let info = table_info env table in
       let rows = float_of_int info.Storage.Catalog.tb_stats.Storage.Catalog.ts_cardinality in
       let pages = float_of_int info.Storage.Catalog.tb_stats.Storage.Catalog.ts_pages in
-      (* A bare Table_scan is always a vector spine in a bulk context. *)
-      let cpu = if bulk then env.cpu_factor *. env.vector_cpu else env.cpu_factor in
       let cost_at x =
         let x = Float.min x rows in
-        (pages *. frac rows x) +. (cpu *. x)
+        (pages *. frac rows x) +. (env.cpu_factor *. x)
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = false }
-  | Plan.Index_scan { table; index; _ } ->
+  | Plan.Index_scan { table; index; _ }, [] ->
       let info = table_info env table in
       let rows = float_of_int info.Storage.Catalog.tb_stats.Storage.Catalog.ts_cardinality in
       let pages = float_of_int info.Storage.Catalog.tb_stats.Storage.Catalog.ts_pages in
@@ -209,7 +280,7 @@ let rec est bulk env plan =
         end
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = false }
-  | Plan.Rank_index_scan { table; index; lo; hi; _ } -> (
+  | Plan.Rank_index_scan { table; index; lo; hi; _ }, [] -> (
       let info = table_info env table in
       let card = float_of_int info.Storage.Catalog.tb_stats.Storage.Catalog.ts_cardinality in
       let pages = float_of_int info.Storage.Catalog.tb_stats.Storage.Catalog.ts_pages in
@@ -259,7 +330,7 @@ let rec est bulk env plan =
           in
           let total = scan +. sort_cpu +. (env.cpu_factor *. rows) in
           { rows; total_cost = total; cost_at = (fun _ -> total); k_dependent = false })
-  | Plan.Remote_scan { tables; k_bound; score; _ } ->
+  | Plan.Remote_scan { tables; k_bound; score; _ }, [] ->
       (* One shard's pushed subquery, seen from the coordinator: a startup
          round-trip plus per-row transfer. The shard serves its stream
          incrementally (rank index / HRJN on its side), so the coordinator's
@@ -284,9 +355,8 @@ let rec est bulk env plan =
         cost_at;
         k_dependent = Option.is_some score;
       }
-  | Plan.Gather_merge { inputs; k; score } ->
-      let ests = List.map (est false env) inputs in
-      let n = float_of_int (max 1 (List.length inputs)) in
+  | Plan.Gather_merge { k; score; _ }, ests ->
+      let n = float_of_int (max 1 (List.length ests)) in
       let sum_rows = List.fold_left (fun acc e -> acc +. e.rows) 0.0 ests in
       let rows =
         match k with
@@ -311,23 +381,16 @@ let rec est bulk env plan =
         cost_at;
         k_dependent = Option.is_some score;
       }
-  | Plan.Filter { pred; input } ->
-      let i = est bulk env input in
+  | Plan.Filter { pred; _ }, [ i ] ->
       let sel = filter_selectivity env pred in
       let rows = i.rows *. sel in
-      let cpu =
-        if bulk && Vectorize.spine_ok plan then env.cpu_factor *. env.vector_cpu
-        else env.cpu_factor
-      in
       let cost_at x =
         let x = Float.min x rows in
         let need = if sel <= 0.0 then i.rows else Float.min i.rows (x /. sel) in
-        i.cost_at need +. (cpu *. need)
+        i.cost_at need +. (env.cpu_factor *. need)
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = i.k_dependent }
-  | Plan.Sort { input; _ } ->
-      (* A sort drains its input: always a bulk context below. *)
-      let i = est true env input in
+  | Plan.Sort _, [ i ] ->
       let rows = i.rows in
       let pages = rows /. tuples_per_page env in
       let extra_io =
@@ -343,18 +406,14 @@ let rec est bulk env plan =
       let cpu = env.cpu_factor *. rows *. log (Float.max 2.0 rows) /. log 2.0 in
       let total = i.total_cost +. extra_io +. cpu in
       { rows; total_cost = total; cost_at = (fun _ -> total); k_dependent = false }
-  | Plan.Top_k { k; input } ->
-      let child_bulk = match input with Plan.Sort _ -> bulk | _ -> false in
-      let i = est child_bulk env input in
+  | Plan.Top_k { k; _ }, [ i ] ->
       let kf = float_of_int k in
       let rows = Float.min kf i.rows in
       let cost_at x = i.cost_at (Float.min x rows) in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = i.k_dependent }
-  | Plan.Join { algo; cond; left; right; _ } ->
-      estimate_join bulk env plan algo cond left right
-  | Plan.Exchange { dop; input } ->
-      (* Exchange workers compile their morsels tuple-at-a-time. *)
-      let i = est false env input in
+  | Plan.Join { algo; cond; left; right; left_score; right_score }, [ l; r ] ->
+      estimate_join p ~algo ~cond ~left ~right ~left_score ~right_score l r
+  | Plan.Exchange { dop; input }, [ i ] ->
       let d = float_of_int (max 1 dop) in
       (* Off-spine subtrees (hash build sides, NL inners, INL probe paths)
          are built once, by one worker; only the driving spine's work
@@ -362,7 +421,7 @@ let rec est bulk env plan =
          per-tuple term charges the slot/merge hand-off at the gather. *)
       let serial =
         List.fold_left
-          (fun acc p -> acc +. (est false env p).total_cost)
+          (fun acc sub -> acc +. (estimate_with p sub).total_cost)
           0.0
           (Parallel.off_spine input)
       in
@@ -381,17 +440,20 @@ let rec est bulk env plan =
         cost_at = (fun _ -> total);
         k_dependent = false;
       }
-  | Plan.Nary_rank_join { inputs; key; tables; _ } ->
-      let ests = List.map (est false env) inputs in
-      let m = List.length inputs in
+  | Plan.Nary_rank_join { key; tables; _ }, ests ->
+      let m = List.length ests in
       (* Pairwise selectivity from the first adjacent pair (shared key, so
          all pairs estimate alike). *)
       let s =
         match tables with
         | a :: b :: _ ->
-            Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0
-              (Storage.Catalog.estimate_join_selectivity env.catalog
-                 ~left:(a, key) ~right:(b, key))
+            selectivity p
+              {
+                Logical.left_table = a;
+                left_column = key;
+                right_table = b;
+                right_column = key;
+              }
         | _ -> 1.0
       in
       let rows =
@@ -409,9 +471,8 @@ let rec est bulk env plan =
           (cpu *. x) ests
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
-  | Plan.Any_k { inputs; keys; _ } ->
-      let ests = List.map (est false env) inputs in
-      let m = List.length inputs in
+  | Plan.Any_k { keys; _ }, ests ->
+      let m = List.length ests in
       (* One selectivity per join-tree edge; the acyclic output cardinality
          is the product of input cardinalities and edge selectivities. *)
       let edge_sel (_, pk, ck) =
@@ -419,9 +480,13 @@ let rec est bulk env plan =
         | Expr.Col l, Expr.Col r -> (
             match l.Expr.relation, r.Expr.relation with
             | Some lt, Some rt ->
-                Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0
-                  (Storage.Catalog.estimate_join_selectivity env.catalog
-                     ~left:(lt, l.Expr.name) ~right:(rt, r.Expr.name))
+                selectivity p
+                  {
+                    Logical.left_table = lt;
+                    left_column = l.Expr.name;
+                    right_table = rt;
+                    right_column = r.Expr.name;
+                  }
             | _ -> 1.0 /. 3.0)
         | _ -> 1.0 /. 3.0
       in
@@ -450,21 +515,11 @@ let rec est bulk env plan =
         build +. (delay *. x)
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
+  | _ -> invalid_arg "Cost_model.estimate_node: inputs do not match the plan"
 
-and estimate_join bulk env plan algo cond left right =
-  (* Child contexts mirror the executor: hash joins drain both sides; a
-     block-NL join materializes its right; merge and INL joins inherit;
-     rank joins pull both sides incrementally. *)
-  let lbulk, rbulk =
-    match algo with
-    | Plan.Hash -> (true, true)
-    | Plan.Nested_loops -> (bulk, true)
-    | Plan.Sort_merge -> (bulk, bulk)
-    | Plan.Index_nl -> (bulk, false)
-    | Plan.Hrjn | Plan.Nrjn -> (false, false)
-  in
-  let l = est lbulk env left and r = est rbulk env right in
-  let s = Rkutil.Mathx.clamp ~lo:1e-12 ~hi:1.0 (join_selectivity env cond) in
+and estimate_join p ~algo ~cond ~left ~right ~left_score ~right_score l r =
+  let env = p.env in
+  let s = selectivity p cond in
   let rows = l.rows *. r.rows *. s in
   let cpu = env.cpu_factor in
   match algo with
@@ -535,38 +590,9 @@ and estimate_join bulk env plan algo cond left right =
         k_dependent = l.k_dependent || r.k_dependent;
       }
   | Plan.Hrjn ->
-      let left_score, right_score =
-        match plan with
-        | Plan.Join { left_score; right_score; _ } -> (left_score, right_score)
-        | _ -> (None, None)
-      in
-      let slabs =
-        (* Histogram-derived slabs refine the uniform assumption for 2-way
-           joins of base ranked inputs (e.g. asymmetric score weights). *)
-        if ranked_fan env left = 1 && ranked_fan env right = 1 then
-          match
-            ( side_slab env left_score ~rows:l.rows,
-              side_slab env right_score ~rows:r.rows )
-          with
-          | Some x, Some y -> Some (x, y)
-          | _ -> None
-        else None
-      in
-      let depths k =
-        let p =
-          depth_params env ~k ~cond ~left ~right ~left_rows:l.rows
-            ~right_rows:r.rows
-        in
-        let d =
-          match slabs with
-          | Some (x, y) ->
-              Depth_model.top_k_depths_slabs ~k:p.Depth_model.k ~s:p.Depth_model.s ~x ~y
-          | None -> (
-              match env.depth_mode with
-              | `Average -> Depth_model.average_case_depths p
-              | `Worst -> Depth_model.worst_case_depths p)
-        in
-        Depth_model.clamped p d
+      let depths =
+        rank_depths p ~slab_scores:(Some (left_score, right_score)) ~cond ~left ~right
+          ~left_rows:l.rows ~right_rows:r.rows
       in
       let cost_at x =
         let x = Float.max 1.0 (Float.min x (Float.max 1.0 rows)) in
@@ -581,17 +607,9 @@ and estimate_join bulk env plan algo cond left right =
   | Plan.Nrjn ->
       (* Outer depth from the model; the inner input is fully re-scanned for
          every outer tuple. *)
-      let depths k =
-        let p =
-          depth_params env ~k ~cond ~left ~right ~left_rows:l.rows
-            ~right_rows:r.rows
-        in
-        let d =
-          match env.depth_mode with
-          | `Average -> Depth_model.average_case_depths p
-          | `Worst -> Depth_model.worst_case_depths p
-        in
-        Depth_model.clamped p d
+      let depths =
+        rank_depths p ~slab_scores:None ~cond ~left ~right ~left_rows:l.rows
+          ~right_rows:r.rows
       in
       let cost_at x =
         let x = Float.max 1.0 (Float.min x (Float.max 1.0 rows)) in
@@ -602,48 +620,34 @@ and estimate_join bulk env plan algo cond left right =
         +. (cpu *. ((outer *. r.rows) +. x))
       in
       { rows; total_cost = cost_at rows; cost_at; k_dependent = true }
-  [@@warning "-27"]
 
-let estimate env plan = est true env plan
+let estimate env plan = estimate_with (planning env) plan
 
 let rank_join_depths env plan ~k ~cond ~left ~right =
-  let l = estimate env left and r = estimate env right in
-  let p = depth_params env ~k ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows in
+  let p = planning env in
+  let l = estimate_with p left and r = estimate_with p right in
   let left_score, right_score =
     match plan with
     | Plan.Join { left_score; right_score; _ } -> (left_score, right_score)
     | _ -> (None, None)
   in
-  let slabs =
-    if ranked_fan env left = 1 && ranked_fan env right = 1 then
-      match
-        ( side_slab env left_score ~rows:l.rows,
-          side_slab env right_score ~rows:r.rows )
-      with
-      | Some x, Some y -> Some (x, y)
-      | _ -> None
-    else None
-  in
-  let d =
-    match slabs with
-    | Some (x, y) ->
-        Depth_model.top_k_depths_slabs ~k:p.Depth_model.k ~s:p.Depth_model.s ~x ~y
-    | None -> (
-        match env.depth_mode with
-        | `Average -> Depth_model.average_case_depths p
-        | `Worst -> Depth_model.worst_case_depths p)
-  in
-  Depth_model.clamped p d
+  rank_depths p ~slab_scores:(Some (left_score, right_score)) ~cond ~left ~right
+    ~left_rows:l.rows ~right_rows:r.rows k
 
 let any_k_depths_for env ~k ~cond ~left ~right =
-  let l = estimate env left and r = estimate env right in
-  let p = depth_params env ~k ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows in
+  let p = planning env in
+  let l = estimate_with p left and r = estimate_with p right in
+  let pk =
+    at_k
+      (depth_base p ~cond ~left ~right ~left_rows:l.rows ~right_rows:r.rows)
+      k
+  in
   (* Use the slab formulation with equal slabs scaled by n/card: for the
      model's uniform-[0,n] convention the slab is n/card per input. *)
-  let x = p.Depth_model.n /. p.Depth_model.left.Depth_model.card in
-  let y = p.Depth_model.n /. p.Depth_model.right.Depth_model.card in
-  let c_l, c_r = Depth_model.any_k_depths ~k:p.Depth_model.k ~s:p.Depth_model.s ~x ~y in
-  Depth_model.clamped p { Depth_model.d_left = c_l; d_right = c_r }
+  let x = pk.Depth_model.n /. pk.Depth_model.left.Depth_model.card in
+  let y = pk.Depth_model.n /. pk.Depth_model.right.Depth_model.card in
+  let c_l, c_r = Depth_model.any_k_depths ~k:pk.Depth_model.k ~s:pk.Depth_model.s ~x ~y in
+  Depth_model.clamped pk { Depth_model.d_left = c_l; d_right = c_r }
 
 let k_star env ~rank_plan ~sort_plan =
   let rank = estimate env rank_plan in

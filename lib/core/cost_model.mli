@@ -34,14 +34,6 @@ type env = {
   remote_row : float;
       (** Per-row transfer charge on a remote stream (wire encode /
           decode), on top of [cpu_factor]. *)
-  vector_cpu : float;
-      (** Multiplier on [cpu_factor] where the executor vectorizes
-          ({!Vectorize.spine_ok} subplans in bulk contexts: scans and
-          filter stacks feeding sorts, hash joins and the fused top-k
-          sink). The default 1.0 is behaviourally neutral — plan choices
-          match the tuple-at-a-time model; a measured per-deployment
-          discount (e.g. 0.25) makes spine-heavy plans proportionally
-          cheaper. *)
 }
 
 val default_env :
@@ -55,7 +47,6 @@ val default_env :
   ?exchange_startup:float ->
   ?remote_startup:float ->
   ?remote_row:float ->
-  ?vector_cpu:float ->
   Storage.Catalog.t ->
   Logical.t ->
   env
@@ -72,6 +63,24 @@ type estimate = {
 }
 
 val estimate : env -> Plan.t -> estimate
+
+type planning
+(** Planning constants of one optimization run: per-predicate join
+    selectivities, per-relation rankedness and log-cardinalities (the
+    depth model's fans and geometric-mean [n]) and per-score-expression
+    slab ranges, each computed on first use. Not shared between runs or
+    domains; the estimates built with it capture plain values only. *)
+
+val planning : env -> planning
+
+val planning_env : planning -> env
+
+val estimate_node : planning -> Plan.t -> estimate list -> estimate
+(** The estimate of a plan given the estimates of its direct inputs
+    ({!Plan.children} order) — how the enumerator costs a new plan from the
+    subplans it combines. {!estimate} is exactly this applied bottom-up,
+    with fresh planning constants.
+    @raise Invalid_argument when the inputs do not match the plan's arity. *)
 
 val filter_selectivity : env -> Expr.t -> float
 (** Histogram-based when the predicate is a comparison of a column with a

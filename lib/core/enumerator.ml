@@ -61,9 +61,11 @@ let access_plans env config interesting (b : Logical.base) =
   (* Index scans, in each direction some interesting order requests. *)
   List.iter
     (fun (ix : Storage.Catalog.index_info) ->
+      let ix_key = Expr.key ix.Storage.Catalog.ix_key in
       List.iter
         (fun (o : Interesting_orders.interesting_order) ->
-          if Expr.equal o.Interesting_orders.expr ix.Storage.Catalog.ix_key then begin
+          if Expr.key_equal o.Interesting_orders.key.Interesting_orders.expr_key ix_key
+          then begin
             let desc = o.Interesting_orders.direction = Interesting_orders.Desc in
             if config.rank_aware || not desc then
               plans :=
@@ -119,68 +121,77 @@ let residual_pred residuals =
            (fun acc e -> Expr.And (acc, e))
            (List.hd conj) (List.tl conj))
 
-let with_residual residuals plan =
-  match residual_pred residuals with
-  | None -> plan
-  | Some pred -> Plan.Filter { pred; input = plan }
-
-(* Candidate join plans combining a left and right subplan. *)
-let join_candidates env config query ~left_names ~right_names ~right_singleton
-    (cond : Logical.join_pred) residuals (pl : Memo.subplan) (pr : Memo.subplan)
-    =
-  let mk algo ?left_score ?right_score () =
-    with_residual residuals
-      (Plan.Join
-         { algo; cond; left = pl.Memo.plan; right = pr.Memo.plan; left_score; right_score })
+(* Candidate join subplans over one partition (L, R) of a memo entry. The
+   partition's constants — join-key and partial-score order keys, the
+   rank-join output key, the INL index probe and the residual predicate —
+   are computed once here; the returned function costs each (pl, pr) pair
+   from the two subplans' stored estimates. *)
+let join_candidates p config query ~left_names ~right_names ~right_singleton
+    (cond : Logical.join_pred) residuals =
+  let env = Cost_model.planning_env p in
+  let residual = residual_pred residuals in
+  let key_order table column =
+    Some (Interesting_orders.key (Expr.col ~relation:table column) Interesting_orders.Asc)
   in
-  let lkey_order =
-    {
-      Plan.expr = Expr.col ~relation:cond.Logical.left_table cond.Logical.left_column;
-      direction = Interesting_orders.Asc;
-    }
+  let lkey = key_order cond.Logical.left_table cond.Logical.left_column in
+  let rkey = key_order cond.Logical.right_table cond.Logical.right_column in
+  let has_inl_index = right_singleton && Option.is_some (inl_index env cond) in
+  let rank =
+    if config.rank_aware && Logical.is_ranking query then
+      let lscore = Logical.partial_scoring_expr query left_names in
+      let rscore = Logical.partial_scoring_expr query right_names in
+      let want score =
+        Option.map (fun e -> Interesting_orders.key e Interesting_orders.Desc) score
+      in
+      let output =
+        Option.map
+          (fun e -> Interesting_orders.key e Interesting_orders.Desc)
+          (Plan.combined_score lscore rscore)
+      in
+      Some (lscore, rscore, want lscore, want rscore, output)
+    else None
   in
-  let rkey_order =
-    {
-      Plan.expr = Expr.col ~relation:cond.Logical.right_table cond.Logical.right_column;
-      direction = Interesting_orders.Asc;
-    }
-  in
-  let candidates = ref [ mk Plan.Hash (); mk Plan.Nested_loops () ] in
-  (* Index nested loops: right side must be a bare access of a single
-     relation with an index on the join column. *)
-  (if right_singleton then
-     match pr.Memo.plan with
-     | Plan.Table_scan _ | Plan.Filter { input = Plan.Table_scan _; _ } -> (
-         match inl_index env cond with
-         | Some _ -> candidates := mk Plan.Index_nl () :: !candidates
-         | None -> ())
-     | _ -> ());
-  (* Sort-merge: both inputs ordered on their join keys. *)
-  if
-    Plan.order_satisfies ~have:pl.Memo.order ~want:(Some lkey_order)
-    && Plan.order_satisfies ~have:pr.Memo.order ~want:(Some rkey_order)
-  then candidates := mk Plan.Sort_merge () :: !candidates;
-  (* Rank joins (Section 3.2 join eligibility / choices / order). *)
-  if config.rank_aware && Logical.is_ranking query then begin
-    let lscore = Logical.partial_scoring_expr query left_names in
-    let rscore = Logical.partial_scoring_expr query right_names in
-    let ranked_on score (sp : Memo.subplan) =
-      match score with
-      | None -> false
-      | Some e ->
-          Plan.order_satisfies ~have:sp.Memo.order
-            ~want:(Some { Plan.expr = e; direction = Interesting_orders.Desc })
+  fun (pl : Memo.subplan) (pr : Memo.subplan) ->
+    let mk algo ?left_score ?right_score ?order_key () =
+      let join =
+        Plan.Join
+          { algo; cond; left = pl.Memo.plan; right = pr.Memo.plan; left_score; right_score }
+      in
+      let sp = Memo.extend p ?order_key join [ pl; pr ] in
+      match residual with
+      | None -> sp
+      | Some pred -> Memo.extend p (Plan.Filter { pred; input = join }) [ sp ]
     in
-    (* HRJN needs sorted access on both inputs. *)
-    if ranked_on lscore pl && ranked_on rscore pr then
-      candidates :=
-        mk Plan.Hrjn ?left_score:lscore ?right_score:rscore () :: !candidates;
-    (* NRJN needs sorted access on the outer (left) input only. *)
-    if ranked_on lscore pl && Option.is_some lscore then
-      candidates :=
-        mk Plan.Nrjn ?left_score:lscore ?right_score:rscore () :: !candidates
-  end;
-  !candidates
+    let candidates = ref [ mk Plan.Hash (); mk Plan.Nested_loops () ] in
+    (* Index nested loops: right side must be a bare access of a single
+       relation with an index on the join column. *)
+    (if has_inl_index then
+       match pr.Memo.plan with
+       | Plan.Table_scan _ | Plan.Filter { input = Plan.Table_scan _; _ } ->
+           candidates := mk Plan.Index_nl () :: !candidates
+       | _ -> ());
+    (* Sort-merge: both inputs ordered on their join keys. *)
+    if
+      Interesting_orders.key_satisfies ~have:pl.Memo.order_key ~want:lkey
+      && Interesting_orders.key_satisfies ~have:pr.Memo.order_key ~want:rkey
+    then candidates := mk Plan.Sort_merge () :: !candidates;
+    (* Rank joins (Section 3.2 join eligibility / choices / order). *)
+    (match rank with
+    | None -> ()
+    | Some (lscore, rscore, lwant, rwant, output) ->
+        let ranked_on want (sp : Memo.subplan) =
+          Option.is_some want
+          && Interesting_orders.key_satisfies ~have:sp.Memo.order_key ~want
+        in
+        let mk_rank algo =
+          mk algo ?left_score:lscore ?right_score:rscore ?order_key:output ()
+        in
+        (* HRJN needs sorted access on both inputs. *)
+        if ranked_on lwant pl && ranked_on rwant pr then
+          candidates := mk_rank Plan.Hrjn :: !candidates;
+        (* NRJN needs sorted access on the outer (left) input only. *)
+        if ranked_on lwant pl then candidates := mk_rank Plan.Nrjn :: !candidates);
+    !candidates
 
 (* Observation hook: called for every subplan the MEMO retains (after
    pruning), with its entry key. The planlint emit-time assertion mode
@@ -195,10 +206,29 @@ let run ?(config = default_config) env =
   let n = Array.length rels in
   let interesting = Interesting_orders.derive ~rank_aware:config.rank_aware query in
   let memo = Memo.create () in
-  let add key plan =
-    let sp = Memo.subplan_of env plan in
-    if Memo.add memo env ~first_rows:config.first_rows ~key sp then
+  let p = Cost_model.planning env in
+  let add key sp =
+    if Memo.add memo ~first_rows:config.first_rows ~key sp then
       !retain_hook env ~key sp
+  in
+  (* A sort enforcer producing an interesting order over a subplan. *)
+  let sort_over (o : Interesting_orders.interesting_order) (sp : Memo.subplan) =
+    Memo.extend p ~order_key:o.Interesting_orders.key
+      (Plan.Sort { order = order_of_interesting o; input = sp.Memo.plan })
+      [ sp ]
+  in
+  let cheapest_total = function
+    | [] -> None
+    | first :: rest ->
+        Some
+          (List.fold_left
+             (fun acc sp ->
+               if
+                 sp.Memo.est.Cost_model.total_cost
+                 < acc.Memo.est.Cost_model.total_cost
+               then sp
+               else acc)
+             first rest)
   in
   (* Parallel variants (env.dop > 1): an exchange over every morselizable
      retained plan, plus blocking sort enforcers over the cheapest exchange
@@ -212,7 +242,8 @@ let run ?(config = default_config) env =
       List.iter
         (fun sp ->
           if Parallel.spine_ok sp.Memo.plan then
-            add mask (Plan.Exchange { dop; input = sp.Memo.plan }))
+            add mask
+              (Memo.extend p (Plan.Exchange { dop; input = sp.Memo.plan }) [ sp ]))
         (Memo.plans memo mask);
       let exchanges =
         List.filter
@@ -220,33 +251,20 @@ let run ?(config = default_config) env =
             match sp.Memo.plan with Plan.Exchange _ -> true | _ -> false)
           (Memo.plans memo mask)
       in
-      match exchanges with
-      | [] -> ()
-      | first :: rest ->
-          let cheapest =
-            List.fold_left
-              (fun acc sp ->
-                if
-                  sp.Memo.est.Cost_model.total_cost
-                  < acc.Memo.est.Cost_model.total_cost
-                then sp
-                else acc)
-              first rest
-          in
+      match cheapest_total exchanges with
+      | None -> ()
+      | Some cheapest ->
           List.iter
-            (fun (o : Interesting_orders.interesting_order) ->
-              add mask
-                (Plan.Sort
-                   {
-                     order = order_of_interesting o;
-                     input = cheapest.Memo.plan;
-                   }))
+            (fun o -> add mask (sort_over o cheapest))
             (Interesting_orders.for_subset interesting names)
     end
   in
   (* Level 1: access paths. *)
   Array.iteri
-    (fun i b -> List.iter (add (1 lsl i)) (access_plans env config interesting b))
+    (fun i b ->
+      List.iter
+        (fun plan -> add (1 lsl i) (Memo.subplan_of env plan))
+        (access_plans env config interesting b))
     rels;
   Array.iteri (fun i b -> exchange_pass (1 lsl i) [ b.Logical.name ]) rels;
   (* Levels 2..n: joins of connected subsets. *)
@@ -263,16 +281,16 @@ let run ?(config = default_config) env =
           (match Logical.joins_between query left_names right_names with
           | [] -> ()
           | cond :: residuals ->
+              let candidates =
+                join_candidates p config query ~left_names ~right_names
+                  ~right_singleton:(popcount r_mask = 1)
+                  cond residuals
+              in
               let pls = Memo.plans memo l_mask and prs = Memo.plans memo r_mask in
               List.iter
                 (fun pl ->
                   List.iter
-                    (fun pr ->
-                      List.iter (add mask)
-                        (join_candidates env config query ~left_names
-                           ~right_names
-                           ~right_singleton:(popcount r_mask = 1)
-                           cond residuals pl pr))
+                    (fun pr -> List.iter (add mask) (candidates pl pr))
                     prs)
                 pls);
           sub := (!sub - 1) land mask
@@ -282,26 +300,16 @@ let run ?(config = default_config) env =
            alternative of Section 3.3 that the k* rule compares rank-join
            plans against. Always generated; pruning decides retention. *)
         let applicable = Interesting_orders.for_subset interesting names in
-        let cheapest_total =
-          match Memo.plans memo mask with
-          | [] -> None
-          | first :: rest ->
-              Some
-                (List.fold_left
-                   (fun acc sp ->
-                     if
-                       sp.Memo.est.Cost_model.total_cost
-                       < acc.Memo.est.Cost_model.total_cost
-                     then sp
-                     else acc)
-                   first rest)
-        in
+        let cheapest = cheapest_total (Memo.plans memo mask) in
         List.iter
           (fun (o : Interesting_orders.interesting_order) ->
-            let want = order_of_interesting o in
-            match cheapest_total with
-            | Some cheapest when not (Plan.order_satisfies ~have:cheapest.Memo.order ~want:(Some want)) ->
-                add mask (Plan.Sort { order = want; input = cheapest.Memo.plan })
+            match cheapest with
+            | Some cheapest
+              when not
+                     (Interesting_orders.key_satisfies
+                        ~have:cheapest.Memo.order_key
+                        ~want:(Some o.Interesting_orders.key)) ->
+                add mask (sort_over o cheapest)
             | _ -> ())
           applicable;
         exchange_pass mask names
@@ -341,22 +349,25 @@ let run ?(config = default_config) env =
                         { Plan.expr = score; direction = Interesting_orders.Desc }
                       in
                       match
-                        Memo.best memo env ~order:want (relation_mask env [ name ])
+                        Memo.best memo ~order:want (relation_mask env [ name ])
                       with
-                      | Some sp -> Some (sp.Memo.plan, score, name)
+                      | Some sp -> Some (sp, score, name)
                       | None -> None)
                   | None -> None)
          in
          if List.for_all Option.is_some per_relation then begin
            let parts = List.map Option.get per_relation in
+           let inputs = List.map (fun (sp, _, _) -> sp) parts in
            add full_mask
-             (Plan.Nary_rank_join
-                {
-                  inputs = List.map (fun (p, _, _) -> p) parts;
-                  scores = List.map (fun (_, s, _) -> s) parts;
-                  key;
-                  tables = List.map (fun (_, _, t) -> t) parts;
-                })
+             (Memo.extend p
+                (Plan.Nary_rank_join
+                   {
+                     inputs = List.map (fun (sp : Memo.subplan) -> sp.Memo.plan) inputs;
+                     scores = List.map (fun (_, s, _) -> s) parts;
+                     key;
+                     tables = List.map (fun (_, _, t) -> t) parts;
+                   })
+                inputs)
          end
    end);
   (* anyK ranked-enumeration alternative for acyclic path/star ranking
@@ -366,28 +377,31 @@ let run ?(config = default_config) env =
      producing past k, the resumable sink behind cursor FETCH NEXT. *)
   (if config.rank_aware && Logical.is_ranking query then
      match Enumerate.any_k_plan query with
-     | Some plan -> add full_mask plan
+     | Some plan -> add full_mask (Memo.subplan_of env plan)
      | None -> ());
   let best =
     if Logical.is_ranking query then begin
       match Logical.scoring_expr query, query.Logical.k with
       | Some score, Some k -> (
           let want = { Plan.expr = score; direction = Interesting_orders.Desc } in
-          match Memo.best memo env ~order:want full_mask with
-          | Some sp ->
-              Some (Memo.subplan_of env (Plan.Top_k { k; input = sp.Memo.plan }))
+          let top_k (sp : Memo.subplan) =
+            Memo.extend p (Plan.Top_k { k; input = sp.Memo.plan }) [ sp ]
+          in
+          match Memo.best memo ~order:want full_mask with
+          | Some sp -> Some (top_k sp)
           | None -> (
               (* No ordered plan retained (shouldn't happen): glue a sort. *)
-              match Memo.best memo env full_mask with
+              match Memo.best memo full_mask with
               | Some sp ->
                   Some
-                    (Memo.subplan_of env
-                       (Plan.Top_k
-                          { k; input = Plan.Sort { order = want; input = sp.Memo.plan } }))
+                    (top_k
+                       (Memo.extend p
+                          (Plan.Sort { order = want; input = sp.Memo.plan })
+                          [ sp ]))
               | None -> None))
-      | _ -> Memo.best memo env full_mask
+      | _ -> Memo.best memo full_mask
     end
-    else Memo.best memo env full_mask
+    else Memo.best memo full_mask
   in
   let stats =
     {

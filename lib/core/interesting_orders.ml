@@ -8,11 +8,24 @@ type reason =
   | Join_and_rank_join
   | Order_by
 
+type key = { expr_key : Expr.key; key_direction : direction }
+
+let key expr direction = { expr_key = Expr.key expr; key_direction = direction }
+
+let key_equal a b =
+  a.key_direction = b.key_direction && Expr.key_equal a.expr_key b.expr_key
+
+let key_satisfies ~have ~want =
+  match want with
+  | None -> true
+  | Some w -> ( match have with None -> false | Some h -> key_equal h w)
+
 type interesting_order = {
   expr : Expr.t;
   direction : direction;
   reason : reason;
   relations : string list;
+  key : key;
 }
 
 let reason_name = function
@@ -46,10 +59,11 @@ let subsets_of_size_ge2 xs =
 let derive ?(rank_aware = true) (q : Logical.t) =
   let orders : interesting_order list ref = ref [] in
   let add expr direction reason relations =
+    let key = key expr direction in
     let rec merge = function
-      | [] -> [ { expr; direction; reason; relations } ]
+      | [] -> [ { expr; direction; reason; relations; key } ]
       | o :: rest ->
-          if Expr.equal o.expr expr && o.direction = direction then
+          if key_equal o.key key then
             { o with reason = merge_reason o.reason reason } :: rest
           else o :: merge rest
     in
@@ -104,7 +118,10 @@ let derive ?(rank_aware = true) (q : Logical.t) =
         let cross_reason =
           List.fold_left
             (fun acc o' ->
-              if Expr.equal o.expr o'.expr && o.direction <> o'.direction then
+              if
+                o.direction <> o'.direction
+                && Expr.key_equal o.key.expr_key o'.key.expr_key
+              then
                 merge_reason acc o'.reason
               else acc)
             o.reason !orders

@@ -16,11 +16,26 @@ type reason =
   | Join_and_rank_join  (** Both of the above. *)
   | Order_by  (** The query's full ranking expression. *)
 
+type key = { expr_key : Expr.key; key_direction : direction }
+(** An order (expression and direction) in the form the optimizer compares:
+    the expression's canonical linear form is computed once, when the key
+    is made, instead of on every comparison. *)
+
+val key : Expr.t -> direction -> key
+
+val key_equal : key -> key -> bool
+(** Same direction and {!Relalg.Expr.equal} expressions. *)
+
+val key_satisfies : have:key option -> want:key option -> bool
+(** [true] when a plan producing [have] can serve where [want] is required
+    ([want = None] is satisfied by anything). *)
+
 type interesting_order = {
   expr : Expr.t;
   direction : direction;
   reason : reason;
   relations : string list;  (** Relations whose columns appear in [expr]. *)
+  key : key;  (** [key expr direction]. *)
 }
 
 val derive : ?rank_aware:bool -> Logical.t -> interesting_order list

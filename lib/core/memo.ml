@@ -2,20 +2,43 @@ type subplan = {
   plan : Plan.t;
   est : Cost_model.estimate;
   order : Plan.order option;
+  order_key : Interesting_orders.key option;
   pipelined : bool;
   dop : int;
   vectorized : bool;
+  decision_cost : float;
 }
 
-let subplan_of env plan =
+let make env plan est ~order ~order_key =
   {
     plan;
-    est = Cost_model.estimate env plan;
-    order = Plan.order_of plan;
+    est;
+    order;
+    order_key;
     pipelined = Plan.pipelined plan;
     dop = Plan.dop plan;
     vectorized = Vectorize.vectorized plan;
+    decision_cost = est.Cost_model.cost_at (float_of_int env.Cost_model.k_min);
   }
+
+let subplan_of env plan =
+  let order = Plan.order_of plan in
+  make env plan (Cost_model.estimate env plan) ~order
+    ~order_key:(Option.map Plan.order_key order)
+
+let extend p ?order_key plan inputs =
+  let est =
+    Cost_model.estimate_node p plan (List.map (fun sp -> sp.est) inputs)
+  in
+  let order, order_key =
+    match Plan.order_source plan, inputs with
+    | `First_input, first :: _ -> (first.order, first.order_key)
+    | `First_input, [] -> invalid_arg "Memo.extend: missing input"
+    | `Own None, _ -> (None, None)
+    | `Own (Some o as order), _ ->
+        (order, Some (match order_key with Some k -> k | None -> Plan.order_key o))
+  in
+  make (Cost_model.planning_env p) plan est ~order ~order_key
 
 type t = {
   entries : (int, subplan list ref) Hashtbl.t;
@@ -24,18 +47,16 @@ type t = {
 
 let create () = { entries = Hashtbl.create 64; generated = 0 }
 
-let decision_cost env sp = sp.est.Cost_model.cost_at (float_of_int env.Cost_model.k_min)
-
 (* Does [a] win the cost comparison against [b] decisively — i.e. for every
    number of results that could be requested from this memo entry? *)
-let cost_dominates env a b =
+let cost_dominates a b =
   let open Cost_model in
   match a.est.k_dependent, b.est.k_dependent with
   | false, false -> a.est.total_cost <= b.est.total_cost
   | true, true ->
       (* Same k propagates to both: compare at the minimum (costs of rank
          plans only grow with k at the same rate family). *)
-      decision_cost env a <= decision_cost env b
+      a.decision_cost <= b.decision_cost
       && a.est.total_cost <= b.est.total_cost
   | true, false ->
       (* Rank plan vs blocking plan: decisive only when the rank plan wins
@@ -45,14 +66,14 @@ let cost_dominates env a b =
   | false, true ->
       (* Blocking plan vs rank plan: decisive when it wins already at k_min
          (k* <= k_min; larger k only makes the rank plan dearer). *)
-      a.est.total_cost <= decision_cost env b
+      a.est.total_cost <= b.decision_cost
 
-let dominates env ~first_rows a b =
-  Plan.order_satisfies ~have:a.order ~want:b.order
+let dominates ~first_rows a b =
+  Interesting_orders.key_satisfies ~have:a.order_key ~want:b.order_key
   && ((not first_rows) || a.pipelined || not b.pipelined)
-  && cost_dominates env a b
+  && cost_dominates a b
 
-let add t env ~first_rows ~key sp =
+let add t ~first_rows ~key sp =
   t.generated <- t.generated + 1;
   let entry =
     match Hashtbl.find_opt t.entries key with
@@ -62,9 +83,9 @@ let add t env ~first_rows ~key sp =
         Hashtbl.add t.entries key e;
         e
   in
-  if List.exists (fun q -> dominates env ~first_rows q sp) !entry then false
+  if List.exists (fun q -> dominates ~first_rows q sp) !entry then false
   else begin
-    entry := sp :: List.filter (fun q -> not (dominates env ~first_rows sp q)) !entry;
+    entry := sp :: List.filter (fun q -> not (dominates ~first_rows sp q)) !entry;
     true
   end
 
@@ -77,13 +98,14 @@ let retained t = Hashtbl.fold (fun _ e acc -> acc + List.length !e) t.entries 0
 
 let generated t = t.generated
 
-let best t env ?order key =
+let best t ?order key =
   let candidates =
     match order with
     | None -> plans t key
     | Some o ->
+        let want = Some (Plan.order_key o) in
         List.filter
-          (fun sp -> Plan.order_satisfies ~have:sp.order ~want:(Some o))
+          (fun sp -> Interesting_orders.key_satisfies ~have:sp.order_key ~want)
           (plans t key)
   in
   match candidates with
@@ -92,7 +114,7 @@ let best t env ?order key =
       Some
         (List.fold_left
            (fun acc sp ->
-             if decision_cost env sp < decision_cost env acc then sp else acc)
+             if sp.decision_cost < acc.decision_cost then sp else acc)
            first rest)
 
 let pp_entry fmt plans =

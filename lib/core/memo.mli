@@ -17,23 +17,42 @@ type subplan = {
   plan : Plan.t;
   est : Cost_model.estimate;
   order : Plan.order option;
+  order_key : Interesting_orders.key option;
+      (** [order] in comparable form ({!Plan.order_key}), computed once so
+          dominance tests and order requests never re-normalise it. *)
   pipelined : bool;
   dop : int;  (** Degree-of-parallelism property bit: [Plan.dop plan]. *)
   vectorized : bool;
       (** Vectorized-execution property bit: {!Vectorize.vectorized}
           — whether the executor runs any of the plan batch-at-a-time.
           Stored (like [dop]) so EXPLAIN, the plan cache and planlint's
-          PL15 see the property the plan was costed with. *)
+          PL15 see the property the plan was planned with. *)
+  decision_cost : float;
+      (** [est.cost_at k_min]: the cost same-kind comparisons use. *)
 }
 
 val subplan_of : Cost_model.env -> Plan.t -> subplan
-(** Compute a plan's estimate and properties. *)
+(** Compute a plan's estimate and properties from scratch. *)
+
+val extend :
+  Cost_model.planning ->
+  ?order_key:Interesting_orders.key ->
+  Plan.t ->
+  subplan list ->
+  subplan
+(** [extend p plan inputs]: the subplan of [plan], whose direct inputs
+    ({!Plan.children}) are the plans of [inputs]. The estimate is built
+    from the inputs' stored estimates and a pass-through order reuses the
+    first input's key, so costing a new plan does not revisit its subtree.
+    [order_key], when given, must be the key of the order the node itself
+    produces (callers pass a key they computed once for many plans). The
+    result equals [subplan_of] of the plan field for field. *)
 
 type t
 
 val create : unit -> t
 
-val add : t -> Cost_model.env -> first_rows:bool -> key:int -> subplan -> bool
+val add : t -> first_rows:bool -> key:int -> subplan -> bool
 (** Insert with pruning; [false] when the plan was pruned on arrival. With
     [first_rows:false], pipelining is not a protected property (plain System
     R behaviour). Every call counts toward {!generated}. *)
@@ -50,10 +69,7 @@ val retained : t -> int
 val generated : t -> int
 (** Total plans ever offered to {!add}. *)
 
-val decision_cost : Cost_model.env -> subplan -> float
-(** The cost used for same-kind comparisons: [cost_at k_min]. *)
-
-val best : t -> Cost_model.env -> ?order:Plan.order -> int -> subplan option
+val best : t -> ?order:Plan.order -> int -> subplan option
 (** Cheapest retained plan of an entry, optionally restricted to plans
     producing the given order. *)
 

@@ -72,12 +72,24 @@ type t =
       shape : [ `Path | `Star ];
     }
 
-let order_equal a b = a.direction = b.direction && Expr.equal a.expr b.expr
+let order_key o = Interesting_orders.key o.expr o.direction
+
+let order_equal a b = Interesting_orders.key_equal (order_key a) (order_key b)
 
 let order_satisfies ~have ~want =
   match want with
   | None -> true
   | Some w -> ( match have with None -> false | Some h -> order_equal h w)
+
+let children = function
+  | Table_scan _ | Index_scan _ | Rank_index_scan _ | Remote_scan _ -> []
+  | Filter { input; _ } | Sort { input; _ } | Top_k { input; _ }
+  | Exchange { input; _ } ->
+      [ input ]
+  | Join { left; right; _ } -> [ left; right ]
+  | Gather_merge { inputs; _ } | Nary_rank_join { inputs; _ } | Any_k { inputs; _ }
+    ->
+      inputs
 
 let combined_score left_score right_score =
   match left_score, right_score with
@@ -86,45 +98,46 @@ let combined_score left_score right_score =
   | None, Some r -> Some r
   | None, None -> None
 
-let rec order_of = function
-  | Table_scan _ -> None
+let desc_order expr = { expr; direction = Interesting_orders.Desc }
+
+let order_source = function
+  | Filter _ | Top_k _ | Exchange _ | Join { algo = Hash | Index_nl; _ } ->
+      `First_input
+  | Table_scan _ | Join { algo = Nested_loops; _ } -> `Own None
   | Index_scan { key; desc; _ } ->
-      Some
-        {
-          expr = key;
-          direction = (if desc then Interesting_orders.Desc else Interesting_orders.Asc);
-        }
-  | Rank_index_scan { score; _ } ->
-      Some { expr = score; direction = Interesting_orders.Desc }
+      `Own
+        (Some
+           {
+             expr = key;
+             direction =
+               (if desc then Interesting_orders.Desc else Interesting_orders.Asc);
+           })
+  | Rank_index_scan { score; _ } -> `Own (Some (desc_order score))
   | Remote_scan { score; _ } | Gather_merge { score; _ } ->
-      Option.map
-        (fun e -> { expr = e; direction = Interesting_orders.Desc })
-        score
-  | Filter { input; _ } -> order_of input
-  | Sort { order; _ } -> Some order
+      `Own (Option.map desc_order score)
+  | Sort { order; _ } -> `Own (Some order)
   | Join { algo = Hrjn | Nrjn; left_score; right_score; _ } ->
-      Option.map
-        (fun e -> { expr = e; direction = Interesting_orders.Desc })
-        (combined_score left_score right_score)
+      `Own (Option.map desc_order (combined_score left_score right_score))
   | Join { algo = Sort_merge; cond; _ } ->
-      Some
-        {
-          expr = Expr.col ~relation:cond.Logical.left_table cond.Logical.left_column;
-          direction = Interesting_orders.Asc;
-        }
-  | Join { algo = Hash | Index_nl; left; _ } -> order_of left
-  | Join { algo = Nested_loops; _ } -> None
-  | Top_k { input; _ } -> order_of input
-  | Exchange { input; _ } -> order_of input
+      `Own
+        (Some
+           {
+             expr =
+               Expr.col ~relation:cond.Logical.left_table cond.Logical.left_column;
+             direction = Interesting_orders.Asc;
+           })
   | Nary_rank_join { scores; _ } | Any_k { scores; _ } ->
-      Some
-        {
-          expr =
-            List.fold_left
-              (fun acc e -> Expr.Add (acc, e))
-              (List.hd scores) (List.tl scores);
-          direction = Interesting_orders.Desc;
-        }
+      `Own
+        (Some
+           (desc_order
+              (List.fold_left
+                 (fun acc e -> Expr.Add (acc, e))
+                 (List.hd scores) (List.tl scores))))
+
+let rec order_of plan =
+  match order_source plan with
+  | `First_input -> order_of (List.hd (children plan))
+  | `Own o -> o
 
 let rec pipelined = function
   | Table_scan _ | Index_scan _ -> true

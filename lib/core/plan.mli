@@ -117,6 +117,19 @@ val order_satisfies : have:order option -> want:order option -> bool
 (** [true] when a plan producing [have] can serve where [want] is required
     ([want = None] is satisfied by anything). *)
 
+val order_key : order -> Interesting_orders.key
+(** The order in the form the optimizer compares (see
+    {!Interesting_orders.key}). *)
+
+val children : t -> t list
+(** Direct inputs, left to right ([left; right] for joins). *)
+
+val order_source : t -> [ `First_input | `Own of order option ]
+(** Where a node's output order comes from: [`First_input] when the node
+    passes its first input's order through (filters, top-k, exchanges,
+    hash and index-nested-loops joins), else the order the node itself
+    produces. *)
+
 val order_of : t -> order option
 (** The order property of a plan's output. Hash and index-nested-loops joins
     preserve their left input's order; block nested loops destroys order;

@@ -302,17 +302,35 @@ let fused_top_k ?sort_stats ?topk_stats (b : Sort.budget) ~desc ~k expr (input :
        descending sort puts NaN last (weakest) and an ascending one puts it
        first (strongest) — exactly the serial sort's comparator. Ties break
        on arrival order, reproducing the in-memory sort's stability. *)
-    let hs = Array.make (max cap 1) 0.0 in
-    let hq = Array.make (max cap 1) 0 in
-    let ht = Array.make (max cap 1) None in
+    (* The heap starts small and doubles up to [cap] entries, so a huge k
+       over a small input allocates for the rows actually kept. *)
+    let initial = max 1 (min cap 1024) in
+    let hs = ref (Array.make initial 0.0) in
+    let hq = ref (Array.make initial 0) in
+    let ht = ref (Array.make initial None) in
     let size = ref 0 in
+    let ensure_room () =
+      let len = Array.length !hs in
+      if !size = len then begin
+        let len' = min cap (2 * len) in
+        let grow a fill =
+          let a' = Array.make len' fill in
+          Array.blit a 0 a' 0 len;
+          a'
+        in
+        hs := grow !hs 0.0;
+        hq := grow !hq 0;
+        ht := grow !ht None
+      end
+    in
     (* [weaker s1 q1 s2 q2]: candidate 1 strictly weaker (sorts later). *)
     let weaker s1 q1 s2 q2 =
       let c = Float.compare s1 s2 in
       if c <> 0 then if desc then c < 0 else c > 0 else q1 > q2
     in
-    let wi i j = weaker hs.(i) hq.(i) hs.(j) hq.(j) in
+    let wi i j = weaker !hs.(i) !hq.(i) !hs.(j) !hq.(j) in
     let swap i j =
+      let hs = !hs and hq = !hq and ht = !ht in
       let s = hs.(i) and q = hq.(i) and t = ht.(i) in
       hs.(i) <- hs.(j);
       hq.(i) <- hq.(j);
@@ -356,16 +374,17 @@ let fused_top_k ?sort_stats ?topk_stats (b : Sort.budget) ~desc ~k expr (input :
             let q = !seq in
             incr seq;
             if !size < cap then begin
-              hs.(!size) <- s;
-              hq.(!size) <- q;
-              ht.(!size) <- Some (Batch.get bt j);
+              ensure_room ();
+              !hs.(!size) <- s;
+              !hq.(!size) <- q;
+              !ht.(!size) <- Some (Batch.get bt j);
               incr size;
               sift_up (!size - 1)
             end
-            else if cap > 0 && weaker hs.(0) hq.(0) s q then begin
-              hs.(0) <- s;
-              hq.(0) <- q;
-              ht.(0) <- Some (Batch.get bt j);
+            else if cap > 0 && weaker !hs.(0) !hq.(0) s q then begin
+              !hs.(0) <- s;
+              !hq.(0) <- q;
+              !ht.(0) <- Some (Batch.get bt j);
               sift_down 0
             end
           done;
@@ -375,7 +394,7 @@ let fused_top_k ?sort_stats ?topk_stats (b : Sort.budget) ~desc ~k expr (input :
     input.v_close ();
     let kept = ref [] in
     for i = 0 to !size - 1 do
-      kept := (hs.(i), hq.(i), Option.get ht.(i)) :: !kept
+      kept := (!hs.(i), !hq.(i), Option.get !ht.(i)) :: !kept
     done;
     let sorted =
       List.sort

@@ -781,7 +781,12 @@ let subplan_rule env ?key (sp : Memo.subplan) =
           ]
   in
   let order_check =
-    if order_opt_equal sp.Memo.order (Plan.order_of sp.Memo.plan) then []
+    let key = Option.map Plan.order_key sp.Memo.order in
+    if
+      order_opt_equal sp.Memo.order (Plan.order_of sp.Memo.plan)
+      && Io.key_satisfies ~have:sp.Memo.order_key ~want:key
+      && Io.key_satisfies ~have:key ~want:sp.Memo.order_key
+    then []
     else
       [
         d rule08 path

@@ -190,66 +190,87 @@ let const_value = function
       | _ -> None)
   | _ -> None
 
+(* The terms of a linear form as a concatenation tree: a long left-deep
+   sum appends each term in O(1) instead of copying the list so far. *)
+type terms = Nil | One of float * column_ref | Cat of terms * terms
+
+let rec scale_terms f = function
+  | Nil -> Nil
+  | One (w, r) -> One (f w, r)
+  | Cat (a, b) -> Cat (scale_terms f a, scale_terms f b)
+
+let terms_to_list t =
+  let rec go acc = function
+    | Nil -> acc
+    | One (w, r) -> (w, r) :: acc
+    | Cat (a, b) -> go (go acc b) a
+  in
+  go [] t
+
 (* Recognise linear combinations: c, x, e1+e2, e1-e2, -e, c*e, e*c, e/c. *)
 let rec linearize = function
-  | Const _ as e -> Option.map (fun c -> ([], c)) (const_value e)
-  | Col r -> Some ([ (1.0, r) ], 0.0)
+  | Const _ as e -> Option.map (fun c -> (Nil, c)) (const_value e)
+  | Col r -> Some (One (1.0, r), 0.0)
   | Neg e ->
-      Option.map
-        (fun (ts, c) -> (List.map (fun (w, r) -> (-.w, r)) ts, -.c))
-        (linearize e)
+      Option.map (fun (ts, c) -> (scale_terms (fun w -> -.w) ts, -.c)) (linearize e)
   | Add (a, b) ->
       Option.bind (linearize a) (fun (ta, ca) ->
-          Option.map (fun (tb, cb) -> (ta @ tb, ca +. cb)) (linearize b))
+          Option.map (fun (tb, cb) -> (Cat (ta, tb), ca +. cb)) (linearize b))
   | Sub (a, b) ->
       Option.bind (linearize a) (fun (ta, ca) ->
           Option.map
-            (fun (tb, cb) ->
-              (ta @ List.map (fun (w, r) -> (-.w, r)) tb, ca -. cb))
+            (fun (tb, cb) -> (Cat (ta, scale_terms (fun w -> -.w) tb), ca -. cb))
             (linearize b))
   | Mul (a, b) -> (
       match const_value a, const_value b with
       | Some c, _ ->
           Option.map
-            (fun (ts, c0) -> (List.map (fun (w, r) -> (c *. w, r)) ts, c *. c0))
+            (fun (ts, c0) -> (scale_terms (fun w -> c *. w) ts, c *. c0))
             (linearize b)
       | _, Some c ->
           Option.map
-            (fun (ts, c0) -> (List.map (fun (w, r) -> (c *. w, r)) ts, c *. c0))
+            (fun (ts, c0) -> (scale_terms (fun w -> c *. w) ts, c *. c0))
             (linearize a)
       | None, None -> None)
   | Div (a, b) -> (
       match const_value b with
       | Some c when Stdlib.( <> ) c 0.0 ->
           Option.map
-            (fun (ts, c0) ->
-              (List.map (fun (w, r) -> (w /. c, r)) ts, c0 /. c))
+            (fun (ts, c0) -> (scale_terms (fun w -> w /. c) ts, c0 /. c))
             (linearize a)
       | _ -> None)
   | Cmp _ | And _ | Or _ | Not _ -> None
 
-let as_linear expr =
+(* Canonical linear form: terms merged by qualified column name (weights
+   summed in occurrence order, the last occurrence's reference kept), zero
+   terms dropped, sorted by name. Each term's name is computed once; a
+   stable sort groups equal names in occurrence order. *)
+type term = { tname : string; tw : float; tref : column_ref }
+
+let canonical expr =
   match linearize expr with
   | None -> None
   | Some (terms, intercept) ->
-      let tbl = Hashtbl.create 8 in
-      let order = ref [] in
-      List.iter
-        (fun (w, r) ->
-          let key = ref_name r in
-          match Hashtbl.find_opt tbl key with
-          | Some (w0, _) -> Hashtbl.replace tbl key (w0 +. w, r)
-          | None ->
-              Hashtbl.add tbl key (w, r);
-              order := key :: !order)
-        terms;
-      let merged =
-        !order |> List.rev_map (fun key -> Hashtbl.find tbl key)
-        |> List.filter (fun (w, _) -> Stdlib.( <> ) w 0.0)
-        |> List.map (fun (w, r) -> (w, r))
-        |> List.sort (fun (_, a) (_, b) -> String.compare (ref_name a) (ref_name b))
+      let named =
+        List.stable_sort
+          (fun a b -> String.compare a.tname b.tname)
+          (List.map
+             (fun (w, r) -> { tname = ref_name r; tw = w; tref = r })
+             (terms_to_list terms))
       in
-      Some { terms = merged; intercept }
+      let rec merge acc = function
+        | a :: b :: rest when String.equal a.tname b.tname ->
+            merge acc ({ b with tw = a.tw +. b.tw } :: rest)
+        | a :: rest -> merge (if Stdlib.( = ) a.tw 0.0 then acc else a :: acc) rest
+        | [] -> List.rev acc
+      in
+      Some (merge [] named, intercept)
+
+let as_linear expr =
+  Option.map
+    (fun (ts, intercept) ->
+      { terms = List.map (fun t -> (t.tw, t.tref)) ts; intercept })
+    (canonical expr)
 
 let of_linear { terms; intercept } =
   let base =
@@ -260,19 +281,27 @@ let of_linear { terms; intercept } =
   if Stdlib.( = ) intercept 0.0 || Stdlib.( = ) terms [] then base
   else Add (base, cfloat intercept)
 
-let linear_same_order a b =
-  match a.terms, b.terms with
-  | [], [] -> true
-  | (wa, _) :: _, (wb, _) :: _ ->
-      let scale = wb /. wa in
-      Stdlib.( > ) scale 0.0
-      && Stdlib.( = ) (List.length a.terms) (List.length b.terms)
-      && List.for_all2
-           (fun (w1, r1) (w2, r2) ->
-             String.equal (ref_name r1) (ref_name r2)
-             && Stdlib.( < ) (Float.abs ((w1 *. scale) -. w2)) (1e-9 *. Float.abs w2 +. 1e-12))
-           a.terms b.terms
-  | _ -> false
+(* The part of a linear form that decides the order it induces: sorted
+   term names and their weights (the intercept shifts, never reorders). *)
+type ordering = { names : string array; weights : float array }
+
+let same_ordering a b =
+  let n = Array.length a.weights in
+  if Stdlib.( = ) n 0 || Stdlib.( = ) (Array.length b.weights) 0 then
+    Stdlib.( = ) n 0 && Stdlib.( = ) (Array.length b.weights) 0
+  else
+    let scale = b.weights.(0) /. a.weights.(0) in
+    let rec terms_match i =
+      Stdlib.( = ) i n
+      || String.equal a.names.(i) b.names.(i)
+         && Stdlib.( < )
+              (Float.abs ((a.weights.(i) *. scale) -. b.weights.(i)))
+              (1e-9 *. Float.abs b.weights.(i) +. 1e-12)
+         && terms_match (Stdlib.( + ) i 1)
+    in
+    Stdlib.( > ) scale 0.0
+    && Stdlib.( = ) n (Array.length b.weights)
+    && terms_match 0
 
 let rec structural_equal a b =
   match a, b with
@@ -290,10 +319,23 @@ let rec structural_equal a b =
       Stdlib.( = ) o1 o2 && structural_equal x1 x2 && structural_equal y1 y2
   | _ -> false
 
-let equal a b =
-  match as_linear a, as_linear b with
-  | Some la, Some lb -> linear_same_order la lb
-  | _ -> structural_equal a b
+type key = { source : t; ordering : ordering option }
+
+let key e =
+  let ordering (ts, _) =
+    {
+      names = Array.of_list (List.map (fun t -> t.tname) ts);
+      weights = Array.of_list (List.map (fun t -> t.tw) ts);
+    }
+  in
+  { source = e; ordering = Option.map ordering (canonical e) }
+
+let key_equal a b =
+  match a.ordering, b.ordering with
+  | Some oa, Some ob -> same_ordering oa ob
+  | _ -> structural_equal a.source b.source
+
+let equal a b = key_equal (key a) (key b)
 
 let cmp_symbol = function
   | Eq -> "="

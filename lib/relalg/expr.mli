@@ -81,13 +81,21 @@ val as_linear : t -> linear option
 
 val of_linear : linear -> t
 
-val linear_same_order : linear -> linear -> bool
-(** Whether the two linear forms induce the same tuple ordering, i.e. they
-    are equal up to a positive scale factor and the intercept. *)
-
 val equal : t -> t -> bool
-(** Structural equality, except linear expressions compare via
-    {!linear_same_order} (so [0.3*x + 0.3*y] equals [x + y] as an order). *)
+(** Structural equality, except two linear expressions are equal when they
+    induce the same tuple ordering: their canonical forms agree up to a
+    positive scale factor and the intercept (so [0.3*x + 0.3*y] equals
+    [x + y] as an order). *)
+
+type key
+(** An expression with its canonical linear form computed once: what the
+    optimizer stores for each order it compares, so a comparison costs no
+    re-normalisation. *)
+
+val key : t -> key
+
+val key_equal : key -> key -> bool
+(** [key_equal (key a) (key b) = equal a b]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -26,6 +26,14 @@ let eat_symbol st sym =
   | Lexer.Tsymbol s when String.equal s sym -> advance st
   | _ -> fail ("symbol " ^ sym) st
 
+(* A count literal (LIMIT k, rank <= k, rank() BETWEEN bounds) as an int.
+   Literals are lexed as floats; one at or past 2^62 does not fit an OCaml
+   int, and converting it would silently wrap to a wrong count. *)
+let count_literal what f =
+  if f >= 0x1p62 then
+    raise (Parse_error (what ^ " out of range (must be below 2^62)"))
+  else int_of_float f
+
 let ident st =
   match peek st with
   | Lexer.Tident name ->
@@ -272,11 +280,11 @@ let parse_with_query st =
     | Lexer.Tident r :: Lexer.Tsymbol "<=" :: Lexer.Tnumber f :: rest
       when String.equal r rank_alias && Float.is_integer f && f >= 0.0 ->
         st.tokens <- rest;
-        int_of_float f
+        count_literal "rank bound" f
     | Lexer.Tident r :: Lexer.Tsymbol "<" :: Lexer.Tnumber f :: rest
       when String.equal r rank_alias && Float.is_integer f && f >= 1.0 ->
         st.tokens <- rest;
-        int_of_float f - 1
+        count_literal "rank bound" f - 1
     | _ -> fail (Printf.sprintf "%s <= k in the outer WHERE" rank_alias) st
   in
   (match peek st with
@@ -339,7 +347,7 @@ let parse_plain_query st =
       match peek st with
       | Lexer.Tnumber f when Float.is_integer f && f >= 1.0 ->
           advance st;
-          int_of_float f
+          count_literal (what ^ " rank") f
       | _ -> fail (what ^ " rank (positive integer)") st
     in
     let lo = bound "lower" in
@@ -411,7 +419,7 @@ let parse_plain_query st =
         match peek st with
         | Lexer.Tnumber f when Float.is_integer f && f >= 0.0 ->
             advance st;
-            (Some (int_of_float f), false)
+            (Some (count_literal "LIMIT" f), false)
         | Lexer.Tsymbol "?" ->
             advance st;
             (None, true)

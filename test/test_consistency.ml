@@ -46,8 +46,8 @@ let prop_best_is_cheapest_retained =
           candidates <> []
           && List.for_all
                (fun sp ->
-                 Memo.decision_cost env best
-                 <= Memo.decision_cost env sp +. 1e-6)
+                 best.Memo.decision_cost
+                 <= sp.Memo.decision_cost +. 1e-6)
                candidates
       | _ -> false)
 

@@ -33,6 +33,7 @@ let () =
          Test_persist.suites;
          Test_coverage.suites;
          Test_consistency.suites;
+         Test_fingerprint.suites;
          Test_rankcheck.suites;
          Test_concurrency.suites;
          Test_parallel.suites;

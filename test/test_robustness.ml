@@ -291,6 +291,87 @@ let prop_executor_limit_consistency =
            partial.Core.Executor.rows
            (List.filteri (fun i _ -> i < expected) full.Core.Executor.rows))
 
+(* Count literals at or past integer limits: a typed parse error for the
+   ones an int cannot hold (converting them would wrap to a wrong k), and
+   bounded memory for a huge k that does fit (no k-sized preallocation). *)
+let literal_catalog () =
+  let cat = Storage.Catalog.create () in
+  List.iteri
+    (fun i name ->
+      ignore
+        (Workload.Generator.load_scored_table cat
+           (Rkutil.Prng.create (11 + i))
+           ~name ~n:500 ~key_domain:50 ()))
+    [ "A"; "B" ];
+  cat
+
+let expect_range_error sql () =
+  match Sqlfront.Sql.query (literal_catalog ()) sql with
+  | Ok a ->
+      Alcotest.failf "accepted with %d rows: %s" (List.length a.Sqlfront.Sql.rows) sql
+  | Error e ->
+      Alcotest.(check bool) ("out-of-range error: " ^ e) true
+        (Test_metrics.contains e "out of range")
+
+let test_huge_representable_limit () =
+  let cat = literal_catalog () in
+  List.iter
+    (fun sql ->
+      match Sqlfront.Sql.query cat sql with
+      | Error e -> Alcotest.failf "%s: %s" sql e
+      | Ok a ->
+          Alcotest.(check int) sql 500 (List.length a.Sqlfront.Sql.rows))
+    [
+      "SELECT id, score FROM A ORDER BY A.score DESC LIMIT 9007199254740993";
+      "SELECT id, score FROM A ORDER BY A.score DESC LIMIT 1073741823";
+      "SELECT id FROM A WHERE A.key >= 0 ORDER BY A.score + A.key DESC LIMIT \
+       9007199254740993";
+    ]
+
+(* An ORDER BY sum of 50,000 terms: a pass quadratic in the term count
+   takes tens of seconds at this size, a linear one well under one, so a
+   10 s budget separates them. *)
+let test_long_score_expression () =
+  let cat = literal_catalog () in
+  let terms =
+    String.concat " + "
+      (List.init 50_000 (fun i -> Printf.sprintf "%d.5*A.score" ((i mod 7) + 1)))
+  in
+  let sql = Printf.sprintf "SELECT id FROM A ORDER BY %s DESC LIMIT 5" terms in
+  let t0 = Unix.gettimeofday () in
+  (match Sqlfront.Sql.query cat sql with
+  | Ok a -> Alcotest.(check int) "rows" 5 (List.length a.Sqlfront.Sql.rows)
+  | Error e -> Alcotest.fail e);
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 10.0 then Alcotest.failf "50k-term ORDER BY took %.1f s" dt
+
+let extreme_input_suite =
+  ( "robustness.extreme_input",
+    [
+      Alcotest.test_case "LIMIT 2^62" `Quick
+        (expect_range_error
+           "SELECT id FROM A ORDER BY A.score DESC LIMIT 4611686018427387904");
+      Alcotest.test_case "LIMIT 1e23" `Quick
+        (expect_range_error
+           "SELECT id FROM A ORDER BY A.score DESC LIMIT 99999999999999999999999");
+      Alcotest.test_case "CTE rank <= 1e23" `Quick
+        (expect_range_error
+           "WITH R AS (SELECT A.id AS x, rank() OVER (ORDER BY A.score DESC) AS \
+            rank FROM A) SELECT x, rank FROM R WHERE rank <= \
+            99999999999999999999999");
+      Alcotest.test_case "CTE rank < 2^62" `Quick
+        (expect_range_error
+           "WITH R AS (SELECT A.id AS x, rank() OVER (ORDER BY A.score DESC) AS \
+            rank FROM A) SELECT x, rank FROM R WHERE rank < 4611686018427387904");
+      Alcotest.test_case "rank() BETWEEN past 2^62" `Quick
+        (expect_range_error
+           "SELECT A.id FROM A WHERE rank() BETWEEN 1 AND \
+            99999999999999999999999 ORDER BY A.score DESC");
+      Alcotest.test_case "LIMIT 2^53+1 on 500 rows" `Quick
+        test_huge_representable_limit;
+      Alcotest.test_case "50k-term ORDER BY" `Quick test_long_score_expression;
+    ] )
+
 let suites =
   [
     ( "robustness",
@@ -305,4 +386,6 @@ let suites =
         Alcotest.test_case "dp vs exhaustive" `Quick test_dp_not_worse_than_exhaustive;
         QCheck_alcotest.to_alcotest prop_executor_limit_consistency;
       ] );
+    extreme_input_suite;
   ]
+
